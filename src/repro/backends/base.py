@@ -183,9 +183,9 @@ class CostModel:
 def ensure_model_level(model: Any, error_cls=TrainingError, device: Optional[str] = None) -> None:
     """Refuse model-level queries to op-level-only backends (Table 1).
 
-    The one gate shared by the serving tiers and the replayer, so no caller
-    can silently compose whole-model numbers out of a backend whose Table 1
-    row says op-level only (e.g. Tiramisu).
+    The one gate of the serving tiers, so no caller can silently compose
+    whole-model numbers out of a backend whose Table 1 row says op-level
+    only (e.g. Tiramisu).
     """
     capabilities = getattr(model, "capabilities", None) or {}
     if not capabilities.get("model_level", True):

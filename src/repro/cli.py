@@ -26,16 +26,11 @@ Subcommands follow the train-once / query-many workflow of the paper:
   on the new device, fine-tune a detached clone with the CMD-regularized
   objective (Eq. 7) and register the adapted checkpoint with lineage
   metadata.  The parent checkpoint is never modified.
-* ``cdmpp serve <device>`` — answer a stream of queries from a file or stdin
-  through one cached, batched :class:`repro.serving.PredictionService`.
-* ``cdmpp fleet --devices a,b`` — the multi-device version of ``serve``:
-  each streamed query names a network and optionally a device (default: fan
-  out to every device and rank).
+* ``cdmpp fleet --devices a,b`` — answer a stream of queries from a file or
+  stdin through one cached, batched :class:`repro.serving.FleetService`:
+  each query names a network and optionally a device (default: fan out to
+  every device and rank).
 * ``cdmpp list`` — show available networks, devices, scales and checkpoints.
-
-The original positional form ``cdmpp <network> <batch_size> <device>`` keeps
-working and preserves its train-from-scratch semantics (it never reads or
-writes the registry).
 
 ``docs/cli.md`` is generated from this argparse tree by
 ``tools/gen_cli_docs.py`` (via :func:`render_cli_docs`); regenerate it after
@@ -61,7 +56,6 @@ from repro.backends import (
     resolve_backend_name,
 )
 from repro.core.scale import ExperimentScale, available_scales, get_scale
-from repro.core.trainer import Trainer
 from repro.dataset.splits import split_dataset
 from repro.dataset.tenset import DatasetConfig, generate_dataset
 from repro.devices.spec import DeviceSpec, all_device_names, get_device
@@ -77,23 +71,8 @@ from repro.serving import (
     DaemonRequestError,
     FleetService,
     ModelRegistry,
-    PredictionService,
     SearchService,
     ServingDaemon,
-)
-
-SUBCOMMANDS = (
-    "train",
-    "query",
-    "predict-model",
-    "tune",
-    "compare",
-    "onboard",
-    "serve",
-    "fleet",
-    "daemon",
-    "client",
-    "list",
 )
 
 
@@ -163,31 +142,11 @@ def _sub(sub, name: str, help_text: str, epilog: str) -> argparse.ArgumentParser
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The legacy positional-form parser (``cdmpp <network> <batch> <device>``)."""
-    parser = argparse.ArgumentParser(
-        prog="cdmpp",
-        description="Predict the end-to-end latency of a DNN model on a device.",
-        epilog="example:\n  cdmpp bert_tiny 1 t4 --scale tiny\n\n"
-        "Always trains from scratch and never touches the registry; prefer\n"
-        "`cdmpp query` for the train-once / query-many workflow.",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("network", help=f"network name, one of: {', '.join(list_models())}")
-    parser.add_argument("batch_size", type=int, help="batch size of the query")
-    parser.add_argument("device", help=f"device name, one of: {', '.join(all_device_names())}")
-    _add_scale_seed(parser)
-    return parser
-
-
 def build_cli_parser() -> argparse.ArgumentParser:
-    """The subcommand parser (``cdmpp train|query|predict-model|serve|fleet|list``)."""
+    """The subcommand parser (``cdmpp train|query|predict-model|fleet|daemon|...``)."""
     parser = argparse.ArgumentParser(
         prog="cdmpp",
-        description=(
-            "Train, persist and query the CDMPP cost model. "
-            "The legacy form `cdmpp <network> <batch_size> <device>` is still accepted."
-        ),
+        description="Train, persist and query the CDMPP cost model.",
         epilog="See docs/cli.md for the full reference of every subcommand.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -200,7 +159,7 @@ def build_cli_parser() -> argparse.ArgumentParser:
         "  cdmpp train t4 --scale tiny --backend xgboost\n\n"
         "Registers the checkpoint as '<device>-<scale>' for the cdmpp backend\n"
         "and '<device>-<scale>-<backend>' for baselines (override with --name)\n"
-        "so `cdmpp query`, `cdmpp serve`, `cdmpp fleet` and\n"
+        "so `cdmpp query`, `cdmpp fleet`, `cdmpp daemon` and\n"
         "`cdmpp predict-model` can load it instead of retraining.",
     )
     train.add_argument("device", help=f"target device, one of: {', '.join(all_device_names())}")
@@ -414,25 +373,6 @@ def build_cli_parser() -> argparse.ArgumentParser:
         "--no-register", action="store_true", help="report only; do not register the adapted model"
     )
 
-    serve = _sub(
-        sub,
-        "serve",
-        "answer a stream of `network [batch_size]` queries through one service",
-        "example:\n  printf 'bert_tiny 1\\nvgg16 8\\n' | cdmpp serve t4 --scale tiny\n\n"
-        "Reads one `network [batch_size]` query per line from --requests\n"
-        "('-' = stdin, '#' starts a comment) and answers all of them through\n"
-        "one cached, batched PredictionService, printing cache statistics at\n"
-        "the end.",
-    )
-    serve.add_argument("device", help=f"device name, one of: {', '.join(all_device_names())}")
-    _add_scale_seed(serve)
-    _add_checkpoint_options(serve)
-    serve.add_argument(
-        "--requests",
-        default="-",
-        help="file with one `network [batch_size]` query per line ('-' reads stdin)",
-    )
-
     fleet = _sub(
         sub,
         "fleet",
@@ -608,11 +548,6 @@ def _train_model(device_name: str, scale_name: str, seed: int, backend: str = "c
     model = _make_backend_for(backend, device_name, scale, seed)
     model.fit(splits.train, splits.valid)
     return model
-
-
-def _train_trainer(device_name: str, scale_name: str, seed: int) -> Trainer:
-    """Train a fresh CDMPP cost model for one device at the given scale."""
-    return _train_model(device_name, scale_name, seed, backend="cdmpp").trainer
 
 
 def _resolve_model(args):
@@ -926,13 +861,11 @@ def _cmd_query(args) -> int:
         path = registry.save(name, cost_model, device=device.name, scale=args.scale, seed=args.seed)
         print(f"[cdmpp] registered {name!r} at {path}; later queries skip training")
 
-    if args.tier == "fast":
-        # The student serves the fast tier; the accurate slot holds it too so
-        # the service constructs, but this query never touches that table.
-        service = PredictionService(cost_model, fast_models={device.name: cost_model})
-    else:
-        service = PredictionService(cost_model)
-    prediction = service.predict_model(
+    # The student serves the fast tier; the accurate slot holds it too so the
+    # fleet constructs, but a fast query never touches that table.
+    fast_models = {device.name: cost_model} if args.tier == "fast" else None
+    fleet = FleetService(cost_model, fast_models=fast_models)
+    prediction = fleet.predict_model(
         model, device, batch_size=args.batch_size, seed=args.seed, tier=args.tier
     )
     ground_truth = measure_end_to_end(model, device, seed=args.seed)
@@ -1325,57 +1258,6 @@ def _cmd_fleet(args, stream: Optional[TextIO] = None) -> int:
     return 0
 
 
-def _cmd_serve(args, stream: Optional[TextIO] = None) -> int:
-    try:
-        device = get_device(args.device)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    resolved = _open_requests(args, stream)
-    if resolved is None:
-        return 2
-    stream, opened = resolved
-
-    cost_model, source, registry, name = _resolve_model(args)
-    if source == "trained":
-        registry.save(name, cost_model, device=device.name, scale=args.scale, seed=args.seed)
-    service = PredictionService(cost_model)
-
-    print(f"[cdmpp] serving device {device.name}; one `network [batch_size]` query per line")
-    answered = 0
-    try:
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                network, batch_size = parts[0], int(parts[1]) if len(parts) > 1 else 1
-                prediction = service.predict_model(
-                    network, device, batch_size=batch_size, seed=args.seed
-                )
-            except (ReproError, ValueError) as error:
-                print(f"error: bad query {line!r}: {error}", file=sys.stderr)
-                continue
-            answered += 1
-            print(
-                f"[cdmpp] {prediction.model:16s} batch={batch_size:<3d} "
-                f"-> {prediction.predicted_latency_s * 1e3:9.3f} ms  ({prediction.num_nodes} ops)"
-            )
-    finally:
-        if opened is not None:
-            opened.close()
-    stats = service.describe_stats()
-    cache = stats["prediction_cache"]
-    print(
-        f"[cdmpp] served {answered} queries: {stats['queries']} kernel lookups, "
-        f"{stats['predictions_computed']} predictor rows in {stats['batches']} batches, "
-        f"cache hit rate {cache['hit_rate'] * 100:.0f}%"
-    )
-    return 0
-
-
 def _cmd_daemon(args) -> int:
     try:
         specs = _parse_device_list(args.devices)
@@ -1530,37 +1412,17 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _run_legacy(argv: List[str]) -> int:
-    """The original one-shot form: train at --scale, then answer the query."""
-    args = build_parser().parse_args(argv)
-    try:
-        device = get_device(args.device)
-        model = build_model(args.network, batch_size=args.batch_size)
-    except Exception as error:  # argparse-style error reporting
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    print(f"[cdmpp] training a {args.scale}-scale cost model on device {device.name} ...")
-    trainer = _train_trainer(device.name, args.scale, args.seed)
-    service = PredictionService(trainer)
-    prediction = service.predict_model(model, device, batch_size=args.batch_size, seed=args.seed)
-    ground_truth = measure_end_to_end(model, device, seed=args.seed)
-    _print_query_report(prediction, ground_truth, args.batch_size, device, DEFAULT_TIER)
-    return 0
-
-
 # ----------------------------------------------------------------------
 # CLI reference rendering (docs/cli.md)
 # ----------------------------------------------------------------------
 def _iter_cli_parsers() -> List[Tuple[str, argparse.ArgumentParser]]:
-    """Every documented parser: the subcommands plus the legacy form."""
+    """Every documented parser: one per subcommand."""
     parser = build_cli_parser()
     parsers: List[Tuple[str, argparse.ArgumentParser]] = []
     for action in parser._actions:  # noqa: SLF001 - argparse has no public walk API
         if isinstance(action, argparse._SubParsersAction):
             for name, sub_parser in action.choices.items():
                 parsers.append((f"cdmpp {name}", sub_parser))
-    parsers.append(("cdmpp <network> <batch_size> <device> (legacy form)", build_parser()))
     return parsers
 
 
@@ -1636,27 +1498,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         build_cli_parser().print_help()
         return 0 if argv else 2
-    if argv[0] in SUBCOMMANDS:
-        args = build_cli_parser().parse_args(argv)
-        handler = {
-            "train": _cmd_train,
-            "query": _cmd_query,
-            "predict-model": _cmd_predict_model,
-            "tune": _cmd_tune,
-            "compare": _cmd_compare,
-            "onboard": _cmd_onboard,
-            "serve": _cmd_serve,
-            "fleet": _cmd_fleet,
-            "daemon": _cmd_daemon,
-            "client": _cmd_client,
-            "list": _cmd_list,
-        }[args.command]
-        try:
-            return handler(args)
-        except ReproError as error:  # e.g. a missing --checkpoint path
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    return _run_legacy(argv)
+    args = build_cli_parser().parse_args(argv)
+    handler = {
+        "train": _cmd_train,
+        "query": _cmd_query,
+        "predict-model": _cmd_predict_model,
+        "tune": _cmd_tune,
+        "compare": _cmd_compare,
+        "onboard": _cmd_onboard,
+        "fleet": _cmd_fleet,
+        "daemon": _cmd_daemon,
+        "client": _cmd_client,
+        "list": _cmd_list,
+    }[args.command]
+    try:
+        return handler(args)
+    except ReproError as error:  # e.g. a missing --checkpoint path
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,36 +3,27 @@
 ``CDMPP`` wires the whole system together the way the paper's command-line
 tool does: pre-train on a dataset of measured records, optionally fine-tune
 to a new device, then answer latency queries at the tensor-program level or
-at the whole-model level (through the replayer).
+at the whole-model level (through :class:`repro.serving.FleetService`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.config import PredictorConfig, TrainingConfig
 from repro.core.finetune import CrossDeviceResult, cross_device_adaptation
 from repro.core.trainer import Trainer, TrainingResult
-from repro.devices.spec import DeviceSpec, get_device
+from repro.devices.spec import DeviceSpec
 from repro.errors import TrainingError
 from repro.features.pipeline import FeatureSet
 from repro.graph.model import ModelGraph
 from repro.profiler.records import MeasureRecord
 from repro.tir.program import TensorProgram
 
-
-@dataclass
-class EndToEndPrediction:
-    """Result of a whole-model latency query."""
-
-    model: str
-    device: str
-    predicted_latency_s: float
-    per_program_latency_s: Dict[str, float]
-    num_nodes: int
+if TYPE_CHECKING:
+    from repro.serving.fleet import FleetPrediction
 
 
 class CDMPP:
@@ -185,38 +176,20 @@ class CDMPP:
         device: Union[str, DeviceSpec],
         batch_size: int = 1,
         seed: int | str | None = 0,
-        cost_fn=None,
         compose: str = "replay",
-    ) -> EndToEndPrediction:
+    ) -> FleetPrediction:
         """Predict the end-to-end latency of a DNN model on a device.
 
-        The model is dissected into a TIR data-flow graph, the predictor is
-        queried once per unique tensor program, and the replayer simulates
-        the execution order (Algorithm 2) to produce the iteration time.
-        ``cost_fn`` overrides where per-kernel costs come from (the serving
-        layer routes them through its cache); the default queries this
-        facade's predictor directly.  ``compose`` picks the composition mode
-        (``"replay"`` critical-path simulation, ``"serial"`` serial sum — see
-        :func:`repro.replay.compose_latencies`).
+        Delegates to :meth:`repro.serving.FleetService.predict_model` with
+        this facade's backend as the any-device model: the model is dissected
+        into a TIR data-flow graph, the predictor is queried once per unique
+        tensor program, and the per-kernel latencies are composed with
+        ``compose`` (``"replay"``, Algorithm 2, or ``"serial"``).
         """
-        from repro.graph.zoo import build_model
-        from repro.replay.e2e import predict_end_to_end
+        from repro.serving.fleet import FleetService
 
-        device_spec = get_device(device) if isinstance(device, str) else device
-        graph = model if isinstance(model, ModelGraph) else build_model(model, batch_size=batch_size)
-        outcome = predict_end_to_end(
-            graph,
-            device_spec,
-            cost_fn=cost_fn or (lambda programs: self.predict_programs(programs, device_spec)),
-            seed=seed,
-            compose=compose,
-        )
-        return EndToEndPrediction(
-            model=graph.name,
-            device=device_spec.name,
-            predicted_latency_s=outcome.iteration_time_s,
-            per_program_latency_s=dict(outcome.durations),
-            num_nodes=len(graph),
+        return FleetService(self.backend).predict_model(
+            model, device, batch_size=batch_size, seed=seed, compose=compose
         )
 
     # ------------------------------------------------------------------

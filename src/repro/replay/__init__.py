@@ -4,7 +4,6 @@ from repro.replay.replayer import ReplayResult, Replayer
 from repro.replay.e2e import (
     COMPOSE_MODES,
     compose_latencies,
-    cost_fn_from_model,
     measure_end_to_end,
     predict_end_to_end,
 )
@@ -14,7 +13,6 @@ __all__ = [
     "Replayer",
     "ReplayResult",
     "compose_latencies",
-    "cost_fn_from_model",
     "predict_end_to_end",
     "measure_end_to_end",
 ]

@@ -1,16 +1,15 @@
 """End-to-end model latency: ground truth and cost-model-driven prediction.
 
-``measure_end_to_end`` obtains per-program latencies from the device
-simulator (standing in for real profiling) and replays the DFG;
-``predict_end_to_end`` does the same but takes latencies from an arbitrary
-cost function (the CDMPP predictor, a baseline, ...), querying it once per
-unique tensor program, as in Section 5.5.
+``predict_end_to_end`` takes per-program latencies from an arbitrary cost
+function, querying it once per unique tensor program as in Section 5.5, and
+replays the DFG; ``measure_end_to_end`` is the same with the device
+simulator (standing in for real profiling) as the cost function.
 
 Both are thin wrappers around :func:`compose_latencies`, the reusable step
 that turns (DFG, per-kernel durations) into one end-to-end number.  The
 serving layer's :class:`repro.serving.fleet.FleetService` calls it directly,
-with durations coming from its batched prediction path.  Two composition
-modes exist:
+with durations coming from its batched prediction path; that is how a
+trained cost model is served.  Two composition modes exist:
 
 * ``"replay"`` — critical-path simulation of the execution order
   (Algorithm 2, the paper's method);
@@ -26,7 +25,7 @@ sub-operators, each carrying 1/``gemm_engines`` of the predicted time.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Union
 
 from repro.devices.simulator import DeviceSimulator
 from repro.devices.spec import ACCEL, DeviceSpec, get_device
@@ -43,23 +42,6 @@ _SPLITTABLE_OPS = {"conv2d", "dense", "batch_matmul", "attention_scores", "atten
 COMPOSE_MODES = ("replay", "serial")
 
 CostFn = Callable[[List[TensorProgram]], Dict[str, float]]
-
-
-def cost_fn_from_model(model, device: Union[str, DeviceSpec]) -> CostFn:
-    """Adapt anything with ``predict_programs(programs, device)`` into a cost_fn.
-
-    Any :class:`repro.backends.CostModel` (CDMPP or a baseline) qualifies, so
-    the replayer can be driven by every backend through one code path.
-    """
-
-    def cost_fn(programs: List[TensorProgram]) -> Dict[str, float]:
-        predictions = model.predict_programs(programs, device)
-        return {
-            program.task.workload_key: float(value)
-            for program, value in zip(programs, predictions)
-        }
-
-    return cost_fn
 
 
 def _split_for_accelerator(dfg: TIRDataFlowGraph, device: DeviceSpec) -> TIRDataFlowGraph:
@@ -162,18 +144,13 @@ def predict_end_to_end(
     ``cost_fn`` receives the unique tensor programs of the model's DFG and
     returns predicted latency (seconds) keyed by workload key; the cost model
     is therefore queried only once per unique TIR kernel, as in the paper.
-    Instead of a callable, any :class:`repro.backends.CostModel` may be
-    passed directly (adapted via :func:`cost_fn_from_model`).  ``compose``
-    picks the composition mode (see :func:`compose_latencies`).
+    ``compose`` picks the composition mode (see :func:`compose_latencies`).
+    Serving a :class:`repro.backends.CostModel` goes through
+    :meth:`repro.serving.FleetService.predict_model` instead.
     """
     from repro.graph.zoo import build_model
 
     device = get_device(device) if isinstance(device, str) else device
-    if not callable(cost_fn) and hasattr(cost_fn, "predict_programs"):
-        from repro.backends import ensure_model_level
-
-        ensure_model_level(cost_fn, ReplayError)
-        cost_fn = cost_fn_from_model(cost_fn, device)
     graph = model if isinstance(model, ModelGraph) else build_model(model)
     dfg = build_dfg(graph, target_kind=device.taxonomy, seed=seed)
     unique = dfg.unique_programs()
@@ -192,11 +169,10 @@ def measure_end_to_end(
     compose: str = "replay",
 ) -> ReplayResult:
     """Ground-truth end-to-end latency using the device simulator as profiler."""
-    from repro.graph.zoo import build_model
-
     device = get_device(device) if isinstance(device, str) else device
-    graph = model if isinstance(model, ModelGraph) else build_model(model)
-    dfg = build_dfg(graph, target_kind=device.taxonomy, seed=seed)
     simulator = DeviceSimulator(device, seed=seed)
-    durations = {key: simulator.measure(program) for key, program in dfg.unique_programs().items()}
-    return compose_latencies(dfg, durations, device, gap_s, mode=compose)
+
+    def cost_fn(programs: List[TensorProgram]) -> Dict[str, float]:
+        return {program.task.workload_key: simulator.measure(program) for program in programs}
+
+    return predict_end_to_end(model, device, cost_fn, gap_s=gap_s, seed=seed, compose=compose)

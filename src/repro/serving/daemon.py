@@ -425,7 +425,9 @@ class _ShardWorker(threading.Thread):
     def _process(self, batch: List[_WorkItem]) -> None:
         # Tune requests run one at a time (each is a whole search, already
         # internally batched — one vectorized predict per search round);
-        # query/predict-model items batch as before.
+        # query/predict-model items batch as before.  Any exception fails
+        # only its own tune item or batch group with 'internal': letting it
+        # escape would kill this shard's thread.
         tune_items = [item for item in batch if item.op == "tune"]
         batch = [item for item in batch if item.op != "tune"]
         for item in tune_items:
@@ -437,7 +439,7 @@ class _ShardWorker(threading.Thread):
                     seed=item.seed,
                     **(item.params or {}),
                 )[0]
-            except ReproError as error:
+            except Exception as error:
                 self.daemon_ref._fail_item(item, E_INTERNAL, str(error), counted="internal")
                 continue
             self.daemon_ref._complete_tune(item, tuning)
@@ -455,7 +457,7 @@ class _ShardWorker(threading.Thread):
                     compose=items[0].compose,
                     tier=items[0].tier,
                 )
-            except ReproError as error:
+            except Exception as error:
                 for item in items:
                     self.daemon_ref._fail_item(item, E_INTERNAL, str(error), counted="internal")
                 continue

@@ -273,9 +273,7 @@ class FleetService:
     # ------------------------------------------------------------------
     # Partitioning
     # ------------------------------------------------------------------
-    def _resolve_targets(
-        self, devices: Optional[Sequence[str]], tier: str = DEFAULT_TIER
-    ) -> List[DeviceSpec]:
+    def _resolve_targets(self, devices: Optional[Sequence[str]]) -> List[DeviceSpec]:
         if devices is None:
             names = [name for name in self.devices if name != DEFAULT_DEVICE]
             if not names:
@@ -292,10 +290,6 @@ class FleetService:
             if spec.name not in seen:
                 seen.add(spec.name)
                 specs.append(spec)
-        for spec in specs:
-            # raises ServingError when unservable on the requested tier
-            backend = self._service.model_for(spec, tier=tier)
-            ensure_model_level(backend, ServingError, device=spec.name)
         return specs
 
     def _partition(
@@ -385,16 +379,16 @@ class FleetService:
         batch size it was built with.
         """
         tier = validate_tier(tier)
-        specs = self._resolve_targets(devices, tier=tier)
-        with self._stats_lock:
-            if len(specs) > 1:
-                self.stats.fanout_queries += 1
+        specs = self._resolve_targets(devices)
         results = self.predict_model_batch(
             [(model, spec, batch_size) for spec in specs],
             seed=seed,
             compose=compose,
             tier=tier,
         )
+        if len(specs) > 1:
+            with self._stats_lock:
+                self.stats.fanout_queries += 1
         results.sort(key=lambda prediction: prediction.predicted_latency_s)
         return results
 

@@ -151,10 +151,8 @@ class SearchService:
         cache: Optional[SearchCache] = None,
     ):
         if isinstance(service, FleetService):
-            self._fleet: Optional[FleetService] = service
             self._kernels = service.service_for_kernels()
         elif isinstance(service, PredictionService):
-            self._fleet = None
             self._kernels = service
         else:
             raise ServingError(
@@ -380,5 +378,4 @@ class SearchService:
             self.stats = SearchServiceStats()
 
     def __repr__(self) -> str:
-        tier = "fleet" if self._fleet is not None else "service"
-        return f"SearchService(tier={tier!r}, cache={self.cache!r})"
+        return f"SearchService(cache={self.cache!r})"

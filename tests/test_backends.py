@@ -312,19 +312,17 @@ class TestServingAcrossBackends:
     def test_model_level_queries_through_two_backends(
         self, trained_trainer, fitted_backends
     ):
-        service = PredictionService(
-            {"t4": fitted_backends["xgboost"], "k80": trained_trainer}
-        )
-        via_xgb = service.predict_model("bert_tiny", "t4", seed=0)
-        via_cdmpp = service.predict_model("bert_tiny", "k80", seed=0)
+        fleet = FleetService({"t4": fitted_backends["xgboost"], "k80": trained_trainer})
+        via_xgb = fleet.predict_model("bert_tiny", "t4", seed=0)
+        via_cdmpp = fleet.predict_model("bert_tiny", "k80", seed=0)
         assert via_xgb.predicted_latency_s > 0
         assert via_cdmpp.predicted_latency_s > 0
         assert via_xgb.model == via_cdmpp.model == "bert_tiny"
 
     def test_op_level_only_backend_refuses_model_queries(self, fitted_backends):
-        service = PredictionService(fitted_backends["tiramisu"])
+        fleet = FleetService(fitted_backends["tiramisu"])  # the "*" fallback
         with pytest.raises(ServingError, match="op-level only"):
-            service.predict_model("bert_tiny", "t4", seed=0)
+            fleet.predict_model("bert_tiny", "t4", seed=0)
 
     def test_unfitted_backend_rejected_by_service(self):
         with pytest.raises(ServingError, match="unfitted"):
@@ -350,20 +348,30 @@ class TestServingAcrossBackends:
         with pytest.raises(ServingError, match="op-level only"):
             fleet.predict_model("bert_tiny", "t4", seed=0)
 
-    def test_replay_accepts_cost_model_directly(self, fitted_backends):
+    @pytest.mark.parametrize("network", ["bert_tiny", "mobilenet_v2"])
+    def test_replay_matches_fleet_for_xgboost(self, fitted_backends, network):
         from repro.replay.e2e import predict_end_to_end
 
-        outcome = predict_end_to_end(
-            "bert_tiny", "t4", cost_fn=fitted_backends["xgboost"], seed=0
-        )
-        assert outcome.iteration_time_s > 0
+        xgb = fitted_backends["xgboost"]
 
-    def test_replay_gates_op_level_only_backends_too(self, fitted_backends):
-        from repro.errors import ReplayError
-        from repro.replay.e2e import predict_end_to_end
+        def cost_fn(programs):
+            values = xgb.predict_programs(programs, "t4")
+            return {p.task.workload_key: float(v) for p, v in zip(programs, values)}
 
-        with pytest.raises(ReplayError, match="op-level only"):
-            predict_end_to_end("bert_tiny", "t4", cost_fn=fitted_backends["tiramisu"], seed=0)
+        outcome = predict_end_to_end(network, "t4", cost_fn, seed=0)
+        served = FleetService(xgb).predict_model(network, "t4", seed=0)
+        assert served.predicted_latency_s == outcome.iteration_time_s
+        assert served.per_kernel_latency_s == outcome.durations
+
+    def test_fleet_fanout_gates_op_level_only_backends(self, fitted_backends):
+        fleet = FleetService({"t4": fitted_backends["xgboost"], "k80": fitted_backends["tiramisu"]})
+        with pytest.raises(ServingError, match="op-level only") as excinfo:
+            fleet.predict_model_fleet("bert_tiny", seed=0)
+        assert "'k80'" in str(excinfo.value)
+        # Every device is checked before any work: nothing was partitioned or served.
+        stats = fleet.describe_stats()
+        assert stats["model_queries"] == stats["partitions"] == 0
+        assert stats["kernel_service"]["queries"] == 0
 
 
 class TestSharedDefaultConfigs:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_cli_parser, main
 from repro.core.api import CDMPP
 from repro.core.finetune import FineTuner
 from repro.core.metrics import mape
@@ -12,6 +12,7 @@ from repro.core.trainer import Trainer
 from repro.dataset.splits import split_dataset
 from repro.features.pipeline import featurize_records
 from repro.replay.e2e import measure_end_to_end
+from repro.serving import ModelRegistry
 
 
 @pytest.fixture(scope="module")
@@ -34,24 +35,34 @@ def isolated_trainer(t4_features):
 
 class TestCLI:
     def test_parser_accepts_positional_arguments(self):
-        args = build_parser().parse_args(["bert_tiny", "1", "t4", "--scale", "tiny"])
+        args = build_cli_parser().parse_args(["query", "bert_tiny", "1", "t4", "--scale", "tiny"])
         assert args.network == "bert_tiny"
         assert args.batch_size == 1
         assert args.device == "t4"
 
     def test_unknown_network_returns_error_code(self, capsys):
-        assert main(["alexnet", "1", "t4"]) == 2
-        assert "error" in capsys.readouterr().err
+        # A non-subcommand argv is an argparse usage error, not a query.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["alexnet", "1", "t4"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-    def test_unknown_device_returns_error_code(self):
-        assert main(["bert_tiny", "1", "tpu-v4"]) == 2
+    def test_unknown_device_returns_error_code(self, tmp_path):
+        assert main(["query", "bert_tiny", "1", "tpu-v4", "--registry", str(tmp_path)]) == 2
 
-    def test_full_query_runs_at_tiny_scale(self, capsys):
-        exit_code = main(["bert_tiny", "1", "t4", "--scale", "tiny", "--seed", "0"])
+    def test_full_query_runs_at_tiny_scale(self, capsys, tmp_path):
+        """``--retrain --no-save`` trains from scratch and leaves the registry empty."""
+        registry = tmp_path / "registry"
+        exit_code = main([
+            "query", "bert_tiny", "1", "t4", "--scale", "tiny", "--seed", "0",
+            "--retrain", "--no-save", "--registry", str(registry),
+        ])
         assert exit_code == 0
         output = capsys.readouterr().out
+        assert "training a tiny-scale cost model" in output
         assert "predicted latency" in output
         assert "relative error" in output
+        assert ModelRegistry(registry).list() == []
 
 
 class TestCLISubcommands:
@@ -82,10 +93,10 @@ class TestCLISubcommands:
         assert "loading pre-trained model" in capsys.readouterr().out
 
         monkeypatch.setattr("sys.stdin", io.StringIO("bert_tiny 1\nbert_tiny 1\n"))
-        assert main(["serve", "t4", "--scale", "tiny", "--registry", registry]) == 0
+        assert main(["fleet", "--devices", "t4", "--scale", "tiny", "--registry", registry]) == 0
         served = capsys.readouterr().out
-        assert "loading pre-trained model" in served
-        assert "served 2 queries" in served
+        assert "t4<-t4-tiny" in served
+        assert "served 2 model queries" in served
         assert "cache hit rate" in served
 
     def test_list_subcommand(self, capsys):

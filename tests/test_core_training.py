@@ -255,7 +255,7 @@ class TestCDMPPFacade:
         assert prediction.device == "t4"
         assert prediction.predicted_latency_s > 0
         assert prediction.num_nodes > 5
-        assert len(prediction.per_program_latency_s) > 5
+        assert len(prediction.per_kernel_latency_s) > 5
 
     def test_evaluate_and_latent(self, facade, t4_features):
         _, _, test = t4_features

@@ -31,6 +31,7 @@ from repro.serving import (
 from repro.serving.protocol import (
     E_BAD_REQUEST,
     E_DEADLINE,
+    E_INTERNAL,
     E_OVERLOADED,
     encode_message,
 )
@@ -172,6 +173,36 @@ class TestDeadlines:
                 elapsed = time.monotonic() - start
         assert result["ok"]
         assert elapsed >= 0.28  # the window is the floor when nothing presses
+
+
+class TestFaultContainment:
+    def test_unexpected_error_fails_its_batch_and_the_shard_survives(
+        self, fleet_models, monkeypatch
+    ):
+        expected = FleetService(fleet_models).predict_model("bert_tiny", device="t4", seed=0)
+        original = FleetService.predict_model_batch
+        injected = []
+
+        def fail_once(self, *args, **kwargs):
+            if not injected:
+                injected.append(True)
+                raise RuntimeError("injected fault")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FleetService, "predict_model_batch", fail_once)
+        with ServingDaemon(fleet_models, DaemonConfig(port=0, max_wait_ms=5.0)) as daemon:
+            host, port = daemon.address
+            with DaemonClient(host, port, timeout_s=5.0) as client:
+                with pytest.raises(DaemonRequestError) as excinfo:
+                    client.query("bert_tiny", device="t4", seed=0)
+                assert excinfo.value.code == E_INTERNAL
+                assert "injected fault" in str(excinfo.value)
+                served = client.query("bert_tiny", device="t4", seed=0)
+                stats = client.stats()
+        assert stats["daemon"]["internal_errors"] == 1
+        assert served["latency_s"] == expected.predicted_latency_s
+        assert served["serial_latency_s"] == expected.serial_latency_s
+        assert served["per_kernel_latency_s"] == dict(expected.per_kernel_latency_s)
 
 
 class TestBackpressure:

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.backends import CDMPPBackend
 from repro.cli import main, render_cli_docs
-from repro.core.api import CDMPP
 from repro.errors import ReplayError, ServingError
 from repro.graph.model import ModelGraph
 from repro.graph.partition import partition_into_programs
-from repro.replay.e2e import compose_latencies
+from repro.graph.zoo import build_model
+from repro.replay.e2e import compose_latencies, predict_end_to_end
 from repro.serving import DeviceShardedCache, FleetService, ModelRegistry
 
 GAP_S = 2e-6
@@ -63,17 +64,23 @@ class TestFleetComposition:
     """The acceptance contract: the composed estimate IS built from the
     per-kernel predictions it reports."""
 
-    def test_replay_compose_matches_facade(self, fleet, trained_trainer):
-        facade = CDMPP.from_trainer(trained_trainer)
-        reference = facade.predict_model("bert_tiny", "t4", seed=0)
-        prediction = fleet.predict_model("bert_tiny", "t4", seed=0)
-        assert prediction.predicted_latency_s == pytest.approx(
-            reference.predicted_latency_s, rel=1e-9
+    @pytest.mark.parametrize("compose", ["replay", "serial"])
+    @pytest.mark.parametrize("device", ["t4", "epyc-7452", "hl100"])
+    def test_fleet_equals_replay_of_backend(self, trained_trainer, device, compose):
+        """Bit-identical to composing the backend's own per-kernel predictions."""
+        backend = CDMPPBackend(trainer=trained_trainer)
+
+        def cost_fn(programs):
+            values = backend.predict_programs(programs, device)
+            return {p.task.workload_key: float(v) for p, v in zip(programs, values)}
+
+        reference = predict_end_to_end("bert_tiny", device, cost_fn, seed=0, compose=compose)
+        prediction = FleetService(backend).predict_model(
+            "bert_tiny", device, seed=0, compose=compose
         )
-        assert prediction.per_kernel_latency_s == pytest.approx(
-            reference.per_program_latency_s, rel=1e-9
-        )
-        assert prediction.num_nodes == reference.num_nodes
+        assert prediction.predicted_latency_s == reference.iteration_time_s
+        assert prediction.per_kernel_latency_s == reference.durations
+        assert prediction.num_nodes == len(build_model("bert_tiny"))
 
     def test_serial_compose_is_sum_of_per_kernel_predictions(self, fleet):
         prediction = fleet.predict_model("bert_tiny", "t4", seed=0, compose="serial")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.api import CDMPP
 from repro.errors import ServingError, TrainingError
+from repro.graph.partition import partition_into_programs
 from repro.serving import (
     LRUCache,
     ModelRegistry,
@@ -169,10 +170,12 @@ class TestPredictionService:
         with pytest.raises(ServingError):
             service.submit(query_programs[0], "k80")
 
-    def test_predict_model_matches_facade(self, service, trained_trainer):
+    def test_predict_model_matches_facade(self, trained_trainer):
+        """The facade's per-kernel latencies are this service's kernel answers."""
         facade = CDMPP.from_trainer(trained_trainer).predict_model("bert_tiny", "t4", seed=0)
-        served = service.predict_model("bert_tiny", "t4", seed=0)
-        assert served.predicted_latency_s == pytest.approx(facade.predicted_latency_s, rel=1e-9)
+        unique = partition_into_programs("bert_tiny", target_kind="gpu", seed=0).unique_programs()
+        served = PredictionService(trained_trainer).predict(list(unique.values()), "t4")
+        assert facade.per_kernel_latency_s == dict(zip(unique, served.tolist()))
 
 
 class TestPerProgramPredictions:
