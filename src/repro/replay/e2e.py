@@ -30,70 +30,20 @@ from typing import Callable, Dict, List, Union
 from repro.devices.simulator import DeviceSimulator
 from repro.devices.spec import ACCEL, DeviceSpec, get_device
 from repro.errors import ReplayError
-from repro.graph.dfg import DFGNode, TIRDataFlowGraph, build_dfg
+from repro.graph.dfg import TIRDataFlowGraph, build_dfg
 from repro.graph.model import ModelGraph
-from repro.replay.replayer import ReplayResult, Replayer, ScheduledNode
+from repro.replay.replayer import ReplayResult, simulate
 from repro.tir.program import TensorProgram
 
 # Operator families that run on GEMM/convolution engines (used for splitting
 # nodes on multi-engine accelerators, Section 5.5).
-_SPLITTABLE_OPS = {"conv2d", "dense", "batch_matmul", "attention_scores", "attention_context"}
+_SPLITTABLE_OPS = frozenset(
+    {"conv2d", "dense", "batch_matmul", "attention_scores", "attention_context"}
+)
 
 COMPOSE_MODES = ("replay", "serial")
 
 CostFn = Callable[[List[TensorProgram]], Dict[str, float]]
-
-
-def _split_for_accelerator(dfg: TIRDataFlowGraph, device: DeviceSpec) -> TIRDataFlowGraph:
-    """Split contraction nodes into per-engine sub-operators on accelerators."""
-    engines = max(int(device.gemm_engines), 1)
-    if device.taxonomy != ACCEL or engines <= 1:
-        return dfg
-
-    split = TIRDataFlowGraph(f"{dfg.name}@{device.name}")
-    name_map: Dict[str, List[str]] = {}
-    for name in dfg.topo_order():
-        node = dfg.node(name)
-        inputs = [sub for dep in node.inputs for sub in name_map[dep]]
-        if node.program.task.op_type in _SPLITTABLE_OPS:
-            sub_names = []
-            for engine in range(engines):
-                sub_name = f"{name}#engine{engine}"
-                split.add_node(
-                    DFGNode(
-                        name=sub_name,
-                        program=node.program,
-                        inputs=list(inputs),
-                        duration_s=node.duration_s / engines,
-                        device_slot=engine,
-                    )
-                )
-                sub_names.append(sub_name)
-            name_map[name] = sub_names
-        else:
-            split.add_node(
-                DFGNode(
-                    name=name,
-                    program=node.program,
-                    inputs=list(inputs),
-                    duration_s=node.duration_s,
-                    device_slot=0,
-                )
-            )
-            name_map[name] = [name]
-    return split
-
-
-def _serial_sum(dfg: TIRDataFlowGraph, gap_s: float) -> ReplayResult:
-    """Serial-sum composition: kernels back to back on one execution queue."""
-    timeline: Dict[str, ScheduledNode] = {}
-    clock = 0.0
-    for name in dfg.topo_order():
-        node = dfg.node(name)
-        end = clock + node.duration_s
-        timeline[name] = ScheduledNode(name=name, start_s=clock, end_s=end, device_slot=0)
-        clock = end + (node.gap_s or gap_s)
-    return ReplayResult(iteration_time_s=float(clock), timeline=timeline)
 
 
 def compose_latencies(
@@ -118,15 +68,20 @@ def compose_latencies(
     if len(dfg) == 0:
         raise ReplayError(f"cannot compose latencies of empty DFG {dfg.name!r}")
     device = get_device(device) if isinstance(device, str) else device
-    dfg.assign_durations(durations, gap_s=gap_s)
+    engines = int(device.gemm_engines) if device.taxonomy == ACCEL else 1
     if mode == "serial":
-        result = _serial_sum(dfg, gap_s)
+        plan = dfg.replay_plan(serial=True)
     else:
-        runnable = _split_for_accelerator(dfg, device)
-        num_slots = device.gemm_engines if device.taxonomy == ACCEL else 1
-        replayer = Replayer(num_device_slots=max(num_slots, 1), gap_s=gap_s)
-        result = replayer.replay(runnable)
-    # Report durations per unique workload (pre-splitting).
+        plan = dfg.replay_plan(engines, _SPLITTABLE_OPS) if engines > 1 else dfg.replay_plan()
+    missing = [key for key in plan.kernel_keys if key not in durations]
+    if missing:
+        raise ReplayError(f"missing durations for kernels {missing[:5]} (and possibly more)")
+    per_kernel = [float(durations[key]) for key in plan.kernel_keys]
+    result = simulate(
+        plan,
+        [per_kernel[kernel] / divisor for kernel, divisor in zip(plan.kernels, plan.divisors)],
+        [float(gap_s)] * len(plan.names),
+    )
     result.durations = dict(durations)
     return result
 

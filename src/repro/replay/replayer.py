@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ReplayError
-from repro.graph.dfg import TIRDataFlowGraph
+from repro.graph.dfg import ReplayPlan, TIRDataFlowGraph
 
 
 @dataclass
@@ -37,11 +37,6 @@ class ReplayResult:
     timeline: Dict[str, ScheduledNode] = field(default_factory=dict)
     durations: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def critical_path_bound_s(self) -> float:
-        """Longest chain of scheduled intervals (a lower bound on iteration time)."""
-        return max((node.end_s for node in self.timeline.values()), default=0.0)
-
 
 class Replayer:
     """Simulates the execution order of a TIR DFG (Algorithm 2)."""
@@ -56,52 +51,54 @@ class Replayer:
         """Simulate ``dfg`` and return the iteration time and per-node timeline."""
         if len(dfg) == 0:
             raise ReplayError("cannot replay an empty DFG")
+        nodes = list(dfg.nodes.values())
+        result = simulate(
+            dfg.replay_plan(self.num_device_slots),
+            [node.duration_s for node in nodes],
+            [node.gap_s or self.gap_s for node in nodes],
+        )
+        result.durations = {node.task_key: node.duration_s for node in nodes}
+        return result
 
-        successors = dfg.successors()
-        indegree = {name: 0 for name in dfg.nodes}
-        for src, dsts in successors.items():
-            for dst in dsts:
-                indegree[dst] += 1
 
-        ready_time = {name: 0.0 for name in dfg.nodes}
-        device_time = [0.0] * self.num_device_slots
-        # Per-slot priority queues keyed by (readyTime, insertion order).
-        queues: List[List[Tuple[float, int, str]]] = [[] for _ in range(self.num_device_slots)]
-        counter = 0
-        for name, node in dfg.nodes.items():
-            if indegree[name] == 0:
-                slot = node.device_slot % self.num_device_slots
-                heapq.heappush(queues[slot], (0.0, counter, name))
+def simulate(plan: ReplayPlan, durations: Sequence[float], gaps: Sequence[float]) -> ReplayResult:
+    """Algorithm 2 over a compiled plan; the result's ``durations`` are left empty.
+
+    ``durations[i]`` and ``gaps[i]`` are the run time of plan node ``i`` and
+    the idle time its slot spends after it.
+    """
+    num_slots = plan.num_slots
+    names, slots, successors = plan.names, plan.slots, plan.successors
+    indegree = list(plan.indegree)
+    ready_time = [0.0] * len(names)
+    device_time = [0.0] * num_slots
+    # Per-slot priority queues keyed by (readyTime, insertion order); roots
+    # enter in counter order, which is already heap order.
+    queues: List[List[Tuple[float, int, int]]] = [[] for _ in range(num_slots)]
+    for counter, index in enumerate(plan.roots):
+        queues[slots[index]].append((0.0, counter, index))
+    counter = len(plan.roots)
+
+    timeline: Dict[str, ScheduledNode] = {}
+    for _ in range(len(names)):
+        # select(D): the device slot with the smallest deviceTime among
+        # those with a non-empty queue.
+        slot = min(
+            (s for s in range(num_slots) if queues[s]), key=device_time.__getitem__, default=None
+        )
+        if slot is None:
+            raise ReplayError("replay deadlocked: no ready nodes but DFG not fully scheduled")
+        _, _, index = heapq.heappop(queues[slot])
+
+        start = max(device_time[slot], ready_time[index])
+        end = start + durations[index]
+        device_time[slot] = end + gaps[index]
+        timeline[names[index]] = ScheduledNode(names[index], start, end, slot)
+
+        for succ in successors[index]:
+            indegree[succ] -= 1
+            ready_time[succ] = max(ready_time[succ], device_time[slot])
+            if indegree[succ] == 0:
+                heapq.heappush(queues[slots[succ]], (ready_time[succ], counter, succ))
                 counter += 1
-
-        timeline: Dict[str, ScheduledNode] = {}
-        scheduled = 0
-        total = len(dfg)
-        nodes = dfg.nodes
-        while scheduled < total:
-            # select(D): the device slot with the smallest deviceTime among
-            # those with a non-empty queue.
-            candidates = [slot for slot in range(self.num_device_slots) if queues[slot]]
-            if not candidates:
-                raise ReplayError("replay deadlocked: no ready nodes but DFG not fully scheduled")
-            slot = min(candidates, key=lambda s: device_time[s])
-            _, _, name = heapq.heappop(queues[slot])
-            node = nodes[name]
-
-            start = max(device_time[slot], ready_time[name])
-            end = start + node.duration_s
-            device_time[slot] = end + (node.gap_s or self.gap_s)
-            timeline[name] = ScheduledNode(name=name, start_s=start, end_s=end, device_slot=slot)
-            scheduled += 1
-
-            for succ in successors[name]:
-                indegree[succ] -= 1
-                ready_time[succ] = max(ready_time[succ], device_time[slot])
-                if indegree[succ] == 0:
-                    succ_slot = nodes[succ].device_slot % self.num_device_slots
-                    heapq.heappush(queues[succ_slot], (ready_time[succ], counter, succ))
-                    counter += 1
-
-        iteration_time = max(device_time)
-        durations = {node.task_key: node.duration_s for node in nodes.values()}
-        return ReplayResult(iteration_time_s=float(iteration_time), timeline=timeline, durations=durations)
+    return ReplayResult(float(max(device_time)), timeline)

@@ -56,6 +56,7 @@ class DaemonClient:
         self._responses: Dict[Any, Dict[str, Any]] = {}  # guarded-by: _lock
         self.host = host
         self.port = port
+        self.timeout_s = timeout_s
 
     # ------------------------------------------------------------------
     # Wire plumbing
@@ -68,7 +69,12 @@ class DaemonClient:
             if not self._stream.send(request):
                 raise ServingError("daemon connection is closed")
             while request_id not in self._responses:
-                response = self._stream.recv()
+                try:
+                    response = self._stream.recv()
+                except TimeoutError:
+                    raise ServingError(
+                        f"daemon did not answer within timeout_s={self.timeout_s}s"
+                    ) from None
                 if response is None:
                     raise ServingError("daemon closed the connection mid-request")
                 self._responses[response.get("id")] = response

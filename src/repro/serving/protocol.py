@@ -149,10 +149,11 @@ class MessageStream:
                 return False
 
     def recv(self) -> Optional[Dict[str, Any]]:
-        """Read one message; None on clean EOF.
+        """Read one message; None on EOF or a dropped connection.
 
         Raises :class:`ProtocolError` on non-JSON input or an oversized line
-        (the connection should be dropped by the caller).
+        (the connection should be dropped by the caller); a socket timeout
+        propagates as :class:`TimeoutError`.
         """
         while b"\n" not in self._buffer:
             if len(self._buffer) > _MAX_LINE_BYTES:
@@ -161,6 +162,8 @@ class MessageStream:
                 )
             try:
                 chunk = self._sock.recv(65536)
+            except TimeoutError:
+                raise
             except OSError:
                 return None
             if not chunk:

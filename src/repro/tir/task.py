@@ -9,6 +9,7 @@ yields a concrete :class:`~repro.tir.program.TensorProgram`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import TIRError
@@ -161,7 +162,7 @@ class Task:
             total *= iv.extent
         return total
 
-    @property
+    @cached_property
     def workload_key(self) -> str:
         """Stable identifier of the task (operator type + parameters + model)."""
         key = stable_hash(self.op_type, sorted(self.params.items()), self.model, bits=48)

@@ -205,6 +205,37 @@ class TestFaultContainment:
         assert served["per_kernel_latency_s"] == dict(expected.per_kernel_latency_s)
 
 
+class TestClientTimeouts:
+    """A silent daemon and a vanished one are different failures to the client."""
+
+    @pytest.fixture()
+    def listener(self):
+        """A TCP listener that accepts connections, closing them only on demand."""
+        server = socket.create_server(("127.0.0.1", 0))
+        accepted = []
+        thread = threading.Thread(target=lambda: accepted.append(server.accept()[0]))
+        thread.start()
+        yield server.getsockname(), thread, accepted
+        thread.join(timeout=5)
+        for conn in accepted:
+            conn.close()
+        server.close()
+
+    def test_silent_daemon_times_out_naming_timeout_s(self, listener):
+        (host, port), _, _ = listener
+        with DaemonClient(host, port, timeout_s=0.2) as client:
+            with pytest.raises(ServingError, match=r"did not answer within timeout_s=0\.2s"):
+                client.health()
+
+    def test_dropped_connection_is_reported_as_a_disconnect(self, listener):
+        (host, port), thread, accepted = listener
+        with DaemonClient(host, port, timeout_s=5.0) as client:
+            thread.join(timeout=5)
+            accepted[0].close()
+            with pytest.raises(ServingError, match="closed the connection mid-request"):
+                client.health()
+
+
 class TestBackpressure:
     def test_overloaded_rejection_with_retry_hint(self, fleet_models):
         # queue_limit=1: the first pipelined request occupies the queue for

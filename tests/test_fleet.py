@@ -1,5 +1,7 @@
 """Tests for graph-level fleet serving (repro.serving.fleet) and its CLI."""
 
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +117,41 @@ class TestFleetComposition:
         values = fleet.predict_programs(list(unique.values()), "t4")
         for key, value in zip(unique, values):
             assert prediction.per_kernel_latency_s[key] == pytest.approx(value, rel=1e-12)
+
+
+class TestFleetConcurrency:
+    def test_threads_composing_one_shared_dfg_get_their_own_answers(self, fleet):
+        """t4 and k80 share the ``gpu`` DFG cache entry: composing it for both
+        devices at once must never mix one device's durations into the other's."""
+        devices = ("t4", "k80")
+        expected = {d: fleet.predict_model("resnet50", d, seed=0) for d in devices}
+        assert expected["t4"].predicted_latency_s != expected["k80"].predicted_latency_s
+        answers = {device: [] for device in devices}
+        errors = []
+
+        def query(device):
+            try:
+                for _ in range(200):
+                    answers[device].append(fleet.predict_model("resnet50", device, seed=0))
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often enough to interleave compose
+        try:
+            threads = [threading.Thread(target=query, args=(device,)) for device in devices]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        for device in devices:
+            got = [(a.predicted_latency_s, a.serial_latency_s) for a in answers[device]]
+            single = (expected[device].predicted_latency_s, expected[device].serial_latency_s)
+            assert got == [single] * 200
 
 
 class TestFleetFanout:

@@ -15,8 +15,10 @@ from repro.devices.spec import get_device
 from repro.errors import ReplayError, ReproError, SearchError
 from repro.graph.dfg import DFGNode, TIRDataFlowGraph, build_dfg
 from repro.graph.zoo import build_model
-from repro.replay.e2e import measure_end_to_end, predict_end_to_end
+from repro.replay.e2e import compose_latencies, measure_end_to_end, predict_end_to_end
 from repro.replay.replayer import Replayer
+from repro.tir.lower import lower
+from repro.tir.schedule import random_schedule
 from repro.search.ansor import evolutionary_search, search_model_schedules
 
 
@@ -103,6 +105,44 @@ class TestEndToEnd:
     def test_gpu_does_not_split_nodes(self):
         result = measure_end_to_end("bert_tiny", "t4", seed=0)
         assert not any("#engine" in name for name in result.timeline)
+
+
+class TestReplayPlan:
+    def test_plan_is_compiled_once_and_recompiled_after_add_node(self, dense_program, conv_task):
+        dfg = TIRDataFlowGraph("grow")
+        dfg.add_node(DFGNode("a", dense_program, [], duration_s=1e-3))
+        plan = dfg.replay_plan()
+        assert dfg.replay_plan() is plan
+        assert Replayer().replay(dfg).iteration_time_s == 1e-3
+        conv_program = lower(conv_task, random_schedule(conv_task, np.random.default_rng(0), "gpu"))
+        dfg.add_node(DFGNode("b", conv_program, ["a"], duration_s=2e-3))
+        assert dfg.replay_plan() is not plan
+        assert dfg.replay_plan().names == ("a", "b")
+        assert len(dfg.unique_programs()) == 2
+        assert list(Replayer().replay(dfg).timeline) == ["a", "b"]
+
+    def test_unique_programs_returns_a_fresh_dict(self):
+        dfg = build_dfg(build_model("bert_tiny"), seed=0)
+        first = dfg.unique_programs()
+        first.clear()
+        assert dfg.unique_programs()
+
+    @pytest.mark.parametrize("device", ["t4", "hl100"])
+    @pytest.mark.parametrize("mode", ["replay", "serial"])
+    def test_compose_does_not_write_to_the_dfg(self, device, mode):
+        dfg = build_dfg(build_model("bert_tiny"), target_kind=get_device(device).taxonomy, seed=0)
+        before = [(node.duration_s, node.gap_s) for node in dfg.nodes.values()]
+        durations = {key: 1e-4 * (i + 1) for i, key in enumerate(dfg.unique_programs())}
+        first = compose_latencies(dfg, durations, device, mode=mode)
+        assert [(node.duration_s, node.gap_s) for node in dfg.nodes.values()] == before
+        again = compose_latencies(dfg, durations, device, mode=mode)
+        assert again.iteration_time_s == first.iteration_time_s
+        assert again.timeline == first.timeline
+
+    def test_compose_rejects_missing_durations(self):
+        dfg = build_dfg(build_model("bert_tiny"), seed=0)
+        with pytest.raises(ReplayError, match="missing durations"):
+            compose_latencies(dfg, {}, "t4")
 
 
 class TestScheduleSearch:
